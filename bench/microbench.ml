@@ -182,8 +182,9 @@ let burst_size = Speedybox.Runtime.default_burst
 
 let test_burst_fast_path =
   (* The burst counterpart of the fast-path bench: 32 subsequent packets
-     of one pre-recorded NAT+Monitor flow per run — classification
-     prescan, last-flow rule memo, scratch packets refilled in place. *)
+     of one pre-recorded NAT+Monitor flow per run — the per-packet
+     datapath in a loop, the last-flow rule memo hit on every packet,
+     scratch packets refilled in place. *)
   let nat = Sb_nf.Mazunat.create ~external_ip:(ip "203.0.113.1") () in
   let monitor = Sb_nf.Monitor.create () in
   let chain =

@@ -6,9 +6,9 @@
    template TCP frames is rewritten in place per burst (source address
    bytes + ingress cycle), so a million-flow run allocates 32 packets,
    not a million-element trace list.  Packets go through
-   [Runtime.process_burst_into] in bursts of 32 — the deployment shape —
-   so the sweep exercises the pipelined prepare/prefetch/probe path, not
-   the scalar one.  Flow popularity is heavy-tailed inside a sliding
+   [Runtime.process_burst_into] in bursts of 32 — the deployment shape,
+   which runs the same per-packet datapath as [process_packet] with the
+   last-flow rule memo carried across the burst.  Flow popularity is heavy-tailed inside a sliding
    window — most packets go to recently-seen flows, the window's tail
    goes quiet — so flows continuously fall idle behind the window and
    only the timer wheel's expiry keeps the conntrack/MAT/event tables

@@ -43,18 +43,14 @@ let reject t cls =
   cls.malformed <- true;
   cls.cycles <- Sb_sim.Cycles.classifier
 
-(* The burst path classifies into caller-owned scratch records, so a whole
-   burst costs no classification allocations (the tuple itself is still
-   built fresh: it outlives the packet as a conntrack / liveness key).
+(* The datapath classifies into a caller-owned scratch record, so a packet
+   costs no classification allocation (the tuple itself is still built
+   fresh: it outlives the packet as a conntrack / liveness key).
 
-   Classification is split into two phases so the burst prescan can
-   pipeline lookups DPDK-style.  [prepare_into] is a pure function of the
-   packet bytes: admission checks, tuple extraction, one FNV hash shared
-   by the FID fold and every conntrack operation, and a prefetch hint for
-   the conntrack slot the second phase will probe.  [observe_into]
-   advances the flow's connection state.  Running phase one over a whole
-   burst before any phase two means every conntrack probe lands on a line
-   whose fill started a burst ago.
+   Classification has two phases.  [prepare_into] is a pure function of
+   the packet bytes: admission checks, tuple extraction and one FNV hash
+   shared by the FID fold and every conntrack operation.  [observe_into]
+   advances the flow's connection state.
 
    A packet that does not parse to a 5-tuple — or, with
    [verify_checksums], whose checksums are stale — is marked [malformed]
@@ -80,8 +76,7 @@ let prepare_into t packet cls =
     cls.established <- false;
     cls.final <- false;
     cls.malformed <- false;
-    cls.cycles <- Sb_sim.Cycles.classifier;
-    Sb_flow.Conntrack.prefetch t.conntrack h
+    cls.cycles <- Sb_sim.Cycles.classifier
   end
 
 let observe_into t packet cls =
@@ -89,13 +84,10 @@ let observe_into t packet cls =
   cls.established <- verdict.Sb_flow.Conntrack.state = Sb_flow.Conntrack.Established;
   cls.final <- verdict.Sb_flow.Conntrack.final
 
-let classify_into t packet cls =
-  prepare_into t packet cls;
-  if not cls.malformed then observe_into t packet cls
-
 let classify t packet =
   let cls = scratch () in
-  classify_into t packet cls;
+  prepare_into t packet cls;
+  if not cls.malformed then observe_into t packet cls;
   cls
 
 let export_flow t tuple = Sb_flow.Conntrack.state t.conntrack tuple

@@ -27,9 +27,9 @@ type classification = {
           NF; [fid] is [-1] and conntrack was not touched *)
   mutable cycles : int;  (** classifier work for this packet *)
 }
-(** Fields are mutable so the burst path can classify into reusable
-    scratch records ({!classify_into}); {!classify} still returns a fresh
-    record per call. *)
+(** Fields are mutable so the datapath can classify into one reusable
+    scratch record ({!prepare_into}, {!observe_into}); {!classify} still
+    returns a fresh record per call. *)
 
 type t
 
@@ -47,24 +47,18 @@ val rejected : t -> int
 
 val classify : t -> Sb_packet.Packet.t -> classification
 (** Assigns the FID (writing it into the packet metadata) and advances the
-    flow's connection state. *)
+    flow's connection state, into a fresh record: {!prepare_into}
+    followed, when not malformed, by {!observe_into}. *)
 
 val scratch : unit -> classification
-(** A blank classification for use with {!classify_into}. *)
-
-val classify_into : t -> Sb_packet.Packet.t -> classification -> unit
-(** Like {!classify} but fills a caller-owned scratch record in place —
-    the burst path's allocation-free variant.  Equivalent to
-    {!prepare_into} followed (when not malformed) by {!observe_into}. *)
+(** A blank classification for use with {!prepare_into}. *)
 
 val prepare_into : t -> Sb_packet.Packet.t -> classification -> unit
 (** Phase one of classification, a pure function of the packet bytes:
-    admission checks, tuple extraction, the single per-packet FNV hash,
-    the FID (written into the packet metadata) — plus a prefetch hint for
-    the conntrack slot {!observe_into} will probe.  Leaves [established]/
-    [final] false; conntrack is not touched.  The burst prescan runs this
-    over the whole burst first, so every later probe lands on a warming
-    cache line. *)
+    admission checks, tuple extraction, the single per-packet FNV hash and
+    the FID (written into the packet metadata), filled into a caller-owned
+    record in place.  Leaves [established]/[final] false; conntrack is not
+    touched. *)
 
 val observe_into : t -> Sb_packet.Packet.t -> classification -> unit
 (** Phase two: advances the flow's connection state (one conntrack

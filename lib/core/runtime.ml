@@ -74,11 +74,10 @@ type t = {
   ins : instruments option;  (* Some iff cfg.obs carries a metrics registry *)
   mutable obs_now_us : float;  (* simulated clock for hooks without a packet
                                   in hand (the LRU-eviction callback) *)
-  mutable cls_scratch : Classifier.classification array;
-      (* per-burst classification scratch, grown to the largest burst seen *)
-  mutable rule_scratch : Sb_mat.Global_mat.rule option array;
-      (* per-burst pre-resolved rules (the prescan's pipelined Global MAT
-         probes), validated against the MAT generation at execution *)
+  cls : Classifier.classification;  (* the datapath's classification scratch *)
+  mutable memo_fid : Sb_flow.Fid.t;  (* last-flow rule memo, see [resolve] *)
+  mutable memo_gen : int;
+  mutable memo_rule : Sb_mat.Global_mat.rule option;
   mutable fault_listener : (string -> unit) option;
       (* notified after every locally-recorded fault — how a sharded
          runtime broadcasts NF health changes to its sibling shards *)
@@ -209,8 +208,10 @@ let create cfg chain =
       live_epoch = 0;
       ins;
       obs_now_us = 0.;
-      cls_scratch = [||];
-      rule_scratch = [||];
+      cls = Classifier.scratch ();
+      memo_fid = -1;
+      memo_gen = -1;
+      memo_rule = None;
       fault_listener = None;
     }
   in
@@ -511,10 +512,28 @@ let contain_fast_path t cls classifier_stage inj_faults ~nf ~now =
   in
   (classifier_stage, stage, inj_faults + 1)
 
-(* The body shared by the per-packet and burst paths: [cls] has been
-   classified (and [touch]ed) by the caller, and [rule_opt] is the Global
-   MAT resolution — a plain [find] per packet, or the burst loop's
-   last-flow memo. *)
+(* The last-flow memo: consecutive packets of one flow resolve their rule
+   with a single Global MAT probe.  A memoised rule is trusted only within
+   the MAT generation it was found in (any eviction, removal, clear or
+   adoption over a bound fid bumps it), and a miss is never memoised: a
+   slow-path packet may consolidate a rule without a bump.  In-place reconsolidation (event
+   rewrites) updates the memoised record itself, so it stays current. *)
+let resolve t fid =
+  let gen = Sb_mat.Global_mat.generation t.global in
+  if fid = t.memo_fid && gen = t.memo_gen then t.memo_rule
+  else begin
+    let r = Sb_mat.Global_mat.find t.global fid in
+    (match r with
+    | Some _ ->
+        t.memo_fid <- fid;
+        t.memo_gen <- gen;
+        t.memo_rule <- r
+    | None -> t.memo_fid <- -1);
+    r
+  end
+
+(* A classified (and [touch]ed) packet with its resolved rule: the Global
+   MAT fast path on a hit, the recording slow-path walk on a miss. *)
 let process_with_rule t packet cls rule_opt =
   let now = packet.Sb_packet.Packet.ingress_cycle in
   let fid = cls.Classifier.fid in
@@ -645,19 +664,10 @@ let process_with_rule t packet cls rule_opt =
 (* A malformed packet (no 5-tuple, or stale checksums under
    [verify_checksums]) is rejected at the classifier: it never reaches an
    NF, never touches conntrack or the liveness tables, and cannot perturb
-   the burst path's rule memo. *)
+   the rule memo. *)
 let process_malformed t packet cls =
   let classifier_stage = Sb_sim.Cost_profile.serial_stage "Classifier" cls.Classifier.cycles in
   finish t Sb_mat.Header_action.Dropped packet [ classifier_stage ] Slow_path 0 0
-
-let process_speedybox t packet =
-  let now = packet.Sb_packet.Packet.ingress_cycle in
-  let cls = Classifier.classify t.classifier packet in
-  if cls.Classifier.malformed then process_malformed t packet cls
-  else begin
-    touch t cls now;
-    process_with_rule t packet cls (Sb_mat.Global_mat.find t.global cls.Classifier.fid)
-  end
 
 (* Everything observability learns per packet derives from the [output]
    the executor produced anyway, so one armed-sink branch after processing
@@ -712,143 +722,38 @@ let instrument t packet out =
         out.profile
   | Some _ | None -> ()
 
+(* The one datapath.  A packet is classified, then takes the Global MAT
+   fast path or walks the original chain; a burst is a plain loop of this
+   step, so burst and per-packet processing are identical by construction.
+   Classification is strictly sequential: a packet is observed by
+   conntrack only after every earlier packet has executed, so a FIN/RST's
+   teardown, a fault quarantine or an idle expiry is always visible to the
+   packets behind it. *)
 let process_packet t packet =
   let out =
     match t.cfg.mode with
     | Original -> process_original t packet
-    | Speedybox -> process_speedybox t packet
+    | Speedybox ->
+        let cls = t.cls in
+        Classifier.prepare_into t.classifier packet cls;
+        if cls.Classifier.malformed then process_malformed t packet cls
+        else begin
+          Classifier.observe_into t.classifier packet cls;
+          touch t cls packet.Sb_packet.Packet.ingress_cycle;
+          process_with_rule t packet cls (resolve t cls.Classifier.fid)
+        end
   in
   if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
   out
 
-(* ---- Burst processing ---- *)
-
 let default_burst = 32
 
-let ensure_cls_scratch t n =
-  if Array.length t.cls_scratch < n then begin
-    t.cls_scratch <- Array.init n (fun _ -> Classifier.scratch ());
-    t.rule_scratch <- Array.make n None
-  end;
-  t.cls_scratch
+let process_burst_into t packets ~off ~len emit =
+  for k = 0 to len - 1 do
+    emit k (process_packet t packets.(off + k))
+  done
 
-(* Process [packets.(off .. off+len-1)] as one burst, calling [emit k out]
-   for each packet in order ([k] relative to [off]).
-
-   The burst is classified ahead of execution — amortizing tuple
-   extraction, FID hashing and conntrack probes over the batch — with one
-   restriction: a FIN/RST ([final]) classification ends the prescan,
-   because its execution tears down the flow's conntrack entry and a
-   same-flow packet classified beyond it would read state the per-packet
-   order has already erased (a retained [Closing] where a fresh flow would
-   re-establish).  Every other mid-burst state change (fault quarantine,
-   idle expiry) yields the same classification either way.
-
-   Prescan phase one ([Classifier.prepare_into], the whole burst) is a
-   pure function of the packet bytes — tuple, one FNV hash, FID — and
-   issues prefetch hints for the three tables the later passes will probe
-   (conntrack slot, Global MAT rule slot, liveness slot), so the line
-   fills for packet [k]'s probes are in flight while packets [k+1 .. n-1]
-   are still being parsed.  Phase two observes conntrack and pre-resolves
-   each packet's rule on the now-warm slots, hinting the rule record
-   itself for the executor.
-
-   Execution resolves each packet's rule from the pre-probe, guarded two
-   ways: a pre-resolved rule is used only while the MAT's generation is
-   unchanged (any eviction, removal or quarantine bumps it), and an
-   absent rule is always re-probed (an earlier slow-path packet in the
-   segment may have consolidated one without a generation bump).  The
-   one-entry last-flow memo backs both the pre-probe and the re-probe, so
-   consecutive packets of one flow still cost a single lookup.  In-place
-   event rewrites keep resolved rule records current by construction. *)
-let process_burst_into t packets ~off ~len:n emit =
-  match t.cfg.mode with
-  | Original ->
-      for k = 0 to n - 1 do
-        let packet = packets.(off + k) in
-        let out = process_original t packet in
-        if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
-        emit k out
-      done
-  | Speedybox ->
-      let cls_arr = ensure_cls_scratch t n in
-      let rule_arr = t.rule_scratch in
-      let track_live = t.wheel <> None in
-      (* Phase one: parse + hash + prefetch for the whole burst. *)
-      for k = 0 to n - 1 do
-        let cls = Array.unsafe_get cls_arr k in
-        Classifier.prepare_into t.classifier packets.(off + k) cls;
-        if not cls.Classifier.malformed then begin
-          Sb_mat.Global_mat.prefetch t.global cls.Classifier.fid;
-          if track_live then Sb_flow.Live_table.prefetch t.live cls.Classifier.fid
-        end
-      done;
-      let memo_fid = ref (-1) and memo_rule = ref None and memo_gen = ref (-1) in
-      let resolve fid gen =
-        if fid = !memo_fid && gen = !memo_gen then !memo_rule
-        else begin
-          let r = Sb_mat.Global_mat.find t.global fid in
-          (match r with
-          | Some _ ->
-              memo_fid := fid;
-              memo_gen := gen;
-              memo_rule := r
-          | None -> memo_fid := -1);
-          r
-        end
-      in
-      let i = ref 0 in
-      while !i < n do
-        (* Phase two: conntrack observation up to (and including) the first
-           FIN/RST — its execution tears down the flow's conntrack entry,
-           so a same-flow packet observed beyond it would read state the
-           per-packet order has already erased — plus the pipelined rule
-           pre-probe.  Nothing executes during this phase, so the MAT
-           generation is constant across the segment. *)
-        let gen = Sb_mat.Global_mat.generation t.global in
-        let j = ref !i in
-        let stop = ref false in
-        while (not !stop) && !j < n do
-          let cls = Array.unsafe_get cls_arr !j in
-          if cls.Classifier.malformed then Array.unsafe_set rule_arr !j None
-          else begin
-            Classifier.observe_into t.classifier packets.(off + !j) cls;
-            if cls.Classifier.final then stop := true;
-            let r = resolve cls.Classifier.fid gen in
-            Array.unsafe_set rule_arr !j r;
-            (* Start the rule record's own line fill for the executor. *)
-            match r with Some rule -> Sb_flow.Prefetch.value rule | None -> ()
-          end;
-          incr j
-        done;
-        for k = !i to !j - 1 do
-          let packet = packets.(off + k) in
-          let cls = Array.unsafe_get cls_arr k in
-          let out =
-            if cls.Classifier.malformed then process_malformed t packet cls
-            else begin
-              touch t cls packet.Sb_packet.Packet.ingress_cycle;
-              let gen_now = Sb_mat.Global_mat.generation t.global in
-              let rule =
-                match Array.unsafe_get rule_arr k with
-                | Some _ as r when gen_now = gen -> r
-                | Some _ | None -> resolve cls.Classifier.fid gen_now
-              in
-              Array.unsafe_set rule_arr k None;
-              process_with_rule t packet cls rule
-            end
-          in
-          if Sb_obs.Sink.armed t.cfg.obs then instrument t packet out;
-          emit k out
-        done;
-        i := !j
-      done
-
-let process_burst t packets =
-  let n = Array.length packets in
-  let rev = ref [] in
-  process_burst_into t packets ~off:0 ~len:n (fun _ out -> rev := out :: !rev);
-  Array.of_list (List.rev !rev)
+let process_burst t packets = Array.map (process_packet t) packets
 
 type run_result = {
   packets : int;
@@ -999,45 +904,30 @@ let run_trace ?on_output ?(burst = 1) t packets =
   in
   (* The trace's packets are never mutated: each is replayed through a copy.
      Without an [on_output] callback nothing can retain the processed
-     packet, so the copies live in reusable scratch buffers; with one, the
+     packet, so the copies live in a reusable scratch pool; with one, the
      callback may keep [out.packet] (tests do), so copies stay fresh. *)
-  (if burst = 1 then
-     match on_output with
-     | None ->
-         let scratch = Sb_packet.Packet.scratch () in
-         List.iter
-           (fun original ->
-             Sb_packet.Packet.copy_into ~src:original ~dst:scratch;
-             consume original (process_packet t scratch))
-           packets
-     | Some _ ->
-         List.iter
-           (fun original -> consume original (process_packet t (Sb_packet.Packet.copy original)))
-           packets
-   else begin
-     let originals = Array.of_list packets in
-     let total = Array.length originals in
-     let pool =
-       if on_output = None then Array.init (min burst total) (fun _ -> Sb_packet.Packet.scratch ())
-       else [||]
-     in
-     let i = ref 0 in
-     while !i < total do
-       let n = min burst (total - !i) in
-       let seg =
-         if on_output = None then begin
-           for k = 0 to n - 1 do
-             Sb_packet.Packet.copy_into ~src:originals.(!i + k) ~dst:pool.(k)
-           done;
-           pool
-         end
-         else Array.init n (fun k -> Sb_packet.Packet.copy originals.(!i + k))
-       in
-       let base = !i in
-       process_burst_into t seg ~off:0 ~len:n (fun k out -> consume originals.(base + k) out);
-       i := !i + n
-     done
-   end);
+  let originals = Array.of_list packets in
+  let total = Array.length originals in
+  let pool =
+    if on_output = None then Array.init (min burst total) (fun _ -> Sb_packet.Packet.scratch ())
+    else [||]
+  in
+  let base = ref 0 in
+  let emit k out = consume originals.(!base + k) out in
+  while !base < total do
+    let n = min burst (total - !base) in
+    let seg =
+      if on_output = None then begin
+        for k = 0 to n - 1 do
+          Sb_packet.Packet.copy_into ~src:originals.(!base + k) ~dst:pool.(k)
+        done;
+        pool
+      end
+      else Array.init n (fun k -> Sb_packet.Packet.copy originals.(!base + k))
+    in
+    process_burst_into t seg ~off:0 ~len:n emit;
+    base := !base + n
+  done;
   (* End-of-run table occupancy (and the sentinel non-flow time bucket),
      as gauges — once per run, not per packet. *)
   (match Sb_obs.Sink.metrics t.cfg.obs with

@@ -151,6 +151,16 @@ val process_packet : t -> Sb_packet.Packet.t -> output
     slow path (recording when it is the flow's initial packet) or to the
     Global MAT fast path, and FIN/RST tears the flow's rules down.
 
+    This is the runtime's one datapath step; {!process_burst_into} is a
+    plain loop of it.  A packet is classified into a per-runtime scratch
+    record ({!Classifier.prepare_into}, then {!Classifier.observe_into}
+    unless malformed), its flow's liveness is touched, and its rule is
+    resolved through a one-entry last-flow memo: consecutive packets of
+    one flow cost a single Global MAT lookup.  A memoised rule is reused
+    only while {!Sb_mat.Global_mat.generation} is unchanged, a miss is
+    never memoised, and in-place event rewrites update the memoised
+    record itself.
+
     Faults never propagate out: any raise from an NF [process] call, a
     recorded state function, or an event update is contained — the packet
     is dropped, the NF's health record advances, and in SpeedyBox mode the
@@ -162,20 +172,9 @@ val default_burst : int
 (** The DPDK-style default burst size, 32. *)
 
 val process_burst : t -> Sb_packet.Packet.t array -> output array
-(** Processes a burst of packets (mutating them), semantically identical
-    to {!process_packet} in sequence but cheaper per packet — the burst
-    pipelines DPDK-style.  A pure prepare pass over the whole burst
-    parses, hashes and FIDs every packet and prefetches the conntrack,
-    Global MAT and liveness slots the later passes will probe; an observe
-    pass advances conntrack and pre-resolves each packet's rule (a FIN/RST
-    classification ends this pass, since executing it tears down conntrack
-    state later same-flow packets would re-read); execution then uses each
-    pre-resolved rule after re-validating it against
-    {!Sb_mat.Global_mat.generation} (a pre-resolved miss is always
-    re-probed — an earlier slow-path packet may have installed a rule
-    without a generation bump).  Consecutive packets of one flow share a
-    one-entry last-flow memo, so they cost a single Global MAT lookup;
-    in-place event rewrites update the resolved rule record directly. *)
+(** Processes a burst of packets (mutating them): {!process_packet} on
+    each in order, so the outputs are identical to per-packet processing
+    by construction.  A burst is the unit of I/O, not a second datapath. *)
 
 val process_burst_into :
   t -> Sb_packet.Packet.t array -> off:int -> len:int -> (int -> output -> unit) -> unit
@@ -247,9 +246,10 @@ val run_trace :
   run_result
 (** Runs the packets in order; [on_output original_input output] fires per
     packet (the first argument is the packet as submitted, before chain
-    modifications — the runtime processes a private copy).  [burst]
-    (default 1) batches the trace through {!process_burst} in chunks of
-    that size; results are identical, processing is cheaper per packet.
-    Without [on_output] the private copies live in reusable scratch
-    buffers, so the replay loop allocates no packet per iteration.
+    modifications — the runtime processes a private copy).  One replay
+    loop feeds the trace to {!process_burst_into} in chunks of [burst]
+    packets (default 1); the chunk size changes only how many private
+    copies are made at once, never the results.  Without [on_output] the
+    copies live in a reusable scratch pool, so the replay loop allocates
+    no packet per iteration.
     @raise Invalid_argument when [burst < 1]. *)

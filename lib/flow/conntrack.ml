@@ -16,8 +16,6 @@ type t = state Tuple_map.t
 
 let create () = Tuple_map.create 1024
 
-let prefetch t hash = Tuple_map.prefetch t hash
-
 (* The 13-byte tuple is hashed exactly once per observation ([observe_h]
    lets the classifier share the hash it computed for the FID, so the
    packet's whole admission costs one FNV pass); the steady-state path then

@@ -50,11 +50,6 @@ val observe_h : t -> hash:int -> Five_tuple.t -> Sb_packet.Packet.t -> verdict
     and shares it here, so admission hashes the 13 wire bytes exactly
     once. *)
 
-val prefetch : t -> int -> unit
-(** [prefetch t hash] hints that the flow with this tuple hash is about to
-    be observed (the burst prescan issues these a burst ahead of the
-    probes).  Semantically a no-op. *)
-
 val state : t -> Five_tuple.t -> state option
 
 val adopt : t -> Five_tuple.t -> state -> unit

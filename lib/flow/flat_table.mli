@@ -21,18 +21,6 @@ val find : 'a t -> int -> 'a option
 val find_exn : 'a t -> int -> 'a
 val mem : 'a t -> int -> bool
 
-val prefetch : 'a t -> int -> unit
-(** [prefetch t key] hints that [key]'s probe window (ideal slot in the
-    key lane, matching value cell) is about to be probed.  Semantically a
-    no-op; see {!Prefetch}. *)
-
-val find_batch : 'a t -> int array -> off:int -> len:int -> 'a option array -> unit
-(** [find_batch t keys ~off ~len out] looks up [keys.(off .. off+len-1)],
-    writing [out.(k) <- find t keys.(off+k)] — pipelined DPDK-style: a
-    prefetch pass over every key's destination slot, then a probe pass.
-    Bit-identical to [len] scalar {!find}s.
-    @raise Invalid_argument when the range or [out] is too short. *)
-
 val set : 'a t -> int -> 'a -> unit
 (** Insert or overwrite the binding for a key. *)
 

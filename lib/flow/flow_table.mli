@@ -10,13 +10,6 @@ val create : ?initial_size:int -> unit -> 'a t
 
 val find : 'a t -> Fid.t -> 'a option
 
-val prefetch : 'a t -> Fid.t -> unit
-(** Hints that the fid's probe window is about to be probed; semantically
-    a no-op.  See {!Flat_table.prefetch}. *)
-
-val find_batch : 'a t -> Fid.t array -> off:int -> len:int -> 'a option array -> unit
-(** Pipelined batch lookup; see {!Flat_table.find_batch}. *)
-
 val find_exn : 'a t -> Fid.t -> 'a
 (** @raise Not_found when the FID has no entry. *)
 

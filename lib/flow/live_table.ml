@@ -39,11 +39,6 @@ let slot_of_key mask key =
 
 let length t = t.size
 
-let prefetch t fid =
-  let s = slot_of_key t.mask fid in
-  Prefetch.field t.fids s;
-  Prefetch.field t.last_seen s
-
 (* The slot holding [fid], or [-1] when absent.  Slots are invalidated by
    any insert or remove; callers use them immediately. *)
 let probe t fid =

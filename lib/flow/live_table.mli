@@ -15,10 +15,6 @@ type t
 val create : ?initial_size:int -> unit -> t
 val length : t -> int
 
-val prefetch : t -> Fid.t -> unit
-(** Hints that the fid's probe window is about to be probed (issued by the
-    burst prescan).  Semantically a no-op; see {!Prefetch}. *)
-
 val probe : t -> Fid.t -> int
 (** The fid's slot, or [-1] when untracked.  The slot is invalidated by
     the next [set]/[remove]. *)

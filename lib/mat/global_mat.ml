@@ -82,7 +82,7 @@ type t = {
   mutable consolidations : int;
   mutable generation : int;
       (* bumped whenever a fid→rule binding is dropped (evict/remove/clear);
-         the burst path's last-flow memo is valid only within a generation.
+         the runtime's last-flow memo is valid only within a generation.
          In-place reconsolidation keeps the rule record — no bump needed. *)
   (* Grow-only scratch buffers for wave snapshot/merge: reused across
      packets so multi-batch waves allocate nothing per execution. *)
@@ -329,10 +329,6 @@ let consolidate t fid locals =
   List.length locals * Sb_sim.Cycles.global_consolidate_per_nf
 
 let find t fid = Sb_flow.Flow_table.find t.rules fid
-
-(* Burst-prescan hint: start the line fill for the fid's rule-table probe
-   window while the prescan still has the rest of the burst to chew on. *)
-let prefetch t fid = Sb_flow.Flow_table.prefetch t.rules fid
 
 let mem t fid = Sb_flow.Flow_table.mem t.rules fid
 

@@ -92,11 +92,6 @@ val consolidate : t -> Sb_flow.Fid.t -> Local_mat.t list -> int
 
 val find : t -> Sb_flow.Fid.t -> rule option
 
-val prefetch : t -> Sb_flow.Fid.t -> unit
-(** [prefetch t fid] hints that [fid]'s rule-table probe window is about
-    to be probed (the burst prescan issues one per packet, a burst ahead
-    of the lookups).  Semantically a no-op. *)
-
 val mem : t -> Sb_flow.Fid.t -> bool
 
 val remove_flow : t -> Sb_flow.Fid.t -> unit
@@ -115,10 +110,10 @@ val flow_count : t -> int
 
 val generation : t -> int
 (** Bumped whenever a fid→rule binding is dropped ({!remove_flow}, LRU
-    eviction, {!clear}).  A cached [(fid, rule)] pair — the burst path's
-    last-flow memo — is valid exactly while the generation is unchanged;
-    in-place reconsolidation (event rewrites) keeps the rule record and
-    does not bump it. *)
+    eviction, {!adopt} over a bound fid, {!clear}).  A cached
+    [(fid, rule)] pair — the runtime's last-flow memo — is valid exactly
+    while the generation is unchanged; in-place reconsolidation (event
+    rewrites) keeps the rule record and does not bump it. *)
 
 val fold : (Sb_flow.Fid.t -> rule -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over the installed rules (unspecified order). *)

@@ -8,8 +8,13 @@ type t = {
   port_count : int;
   mutable next_port : int;
   mappings : int Tuple_map.t;  (* internal tuple -> external port *)
-  reverse : (Ipv4_addr.t * int) array;  (* port - port_base -> internal (ip, port) *)
+  mutable reverse : (Ipv4_addr.t * int) array;
+      (* port - port_base -> internal (ip, port).  Ports are handed out in
+         order, so the array grows with the ports in use instead of
+         filling the whole pool when the NAT is created. *)
 }
+
+let unassigned = (Ipv4_addr.of_octets 0 0 0 0, 0)
 
 let create ?(name = "mazunat") ~external_ip ?(port_base = 10000) ?(port_count = 40000) () =
   if port_base < 1 || port_base + port_count > 65536 then
@@ -21,7 +26,7 @@ let create ?(name = "mazunat") ~external_ip ?(port_base = 10000) ?(port_count = 
     port_count;
     next_port = 0;
     mappings = Tuple_map.create 256;
-    reverse = Array.make port_count (Ipv4_addr.of_octets 0 0 0 0, 0);
+    reverse = [||];
   }
 
 let name t = t.name
@@ -44,16 +49,20 @@ let allocate t tuple =
   let port = t.port_base + slot in
   t.next_port <- t.next_port + 1;
   Tuple_map.replace t.mappings tuple port;
-  t.reverse.(slot) <-
-    (tuple.Five_tuple.src_ip, tuple.Five_tuple.src_port);
+  if slot >= Array.length t.reverse then begin
+    let grown = Array.make (min t.port_count (max 256 (2 * slot))) unassigned in
+    Array.blit t.reverse 0 grown 0 (Array.length t.reverse);
+    t.reverse <- grown
+  end;
+  t.reverse.(slot) <- (tuple.Five_tuple.src_ip, tuple.Five_tuple.src_port);
   port
 
 let reverse_lookup t port =
-  if port < t.port_base || port >= t.port_base + t.port_count then None
-  else begin
-    let internal_ip, internal_port = t.reverse.(port - t.port_base) in
+  let slot = port - t.port_base in
+  if slot < 0 || slot >= Array.length t.reverse then None
+  else
+    let internal_ip, internal_port = t.reverse.(slot) in
     if internal_port = 0 then None else Some (internal_ip, internal_port)
-  end
 
 let apply_modify action packet =
   match Sb_mat.Header_action.apply action packet with

@@ -30,8 +30,8 @@
 #
 # Scale sweep contract (same-run ratio): the per-packet cost of the
 # idle-expiry stream at 1M flows must stay within SCALE_GROWTH (default
-# 3.0) of the 10k-flow figure — the SoA tables and pipelined burst
-# lookups hold the curve near-flat; a linear expiry sweep fails this by
+# 3.0) of the 10k-flow figure — the timer wheel and the SoA tables
+# hold the curve near-flat; a linear expiry sweep fails this by
 # orders of magnitude.  When the 1M tier is absent but 100k is present
 # (the CI tiers), the 100k/10k ratio is guarded with the same bound
 # instead.  Skipped entirely when the JSON predates the scale sweep.
@@ -241,8 +241,8 @@ if not scale_only:
 
 # Scale sweep (PR 6, tightened PR 9): per-packet cost must stay roughly
 # flat as the flow population grows — the timer wheel's O(ticks) expiry
-# plus the SoA tables and pipelined burst lookups against a linear
-# sweep's O(live flows) per advance.  Same-run ratios.
+# plus the SoA tables, against a linear sweep's O(live flows) per
+# advance.  Same-run ratios.
 small = data["current"].get("speedybox/scale/10k-flows idle-expiry stream (ns per packet)")
 mid = data["current"].get("speedybox/scale/100k-flows idle-expiry stream (ns per packet)")
 large = data["current"].get("speedybox/scale/1M-flows idle-expiry stream (ns per packet)")

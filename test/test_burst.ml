@@ -2,7 +2,9 @@
    processing: same per-packet verdicts, paths, bytes and stage visits,
    same aggregate counters, flow times, NF state and fault attributions —
    over randomized traces, burst sizes that do not divide the trace
-   length, armed events rewriting rules mid-burst, and injected faults.
+   length, armed events rewriting rules mid-burst, injected faults, and
+   the rule memo's invalidations (LRU eviction, idle expiry) with
+   malformed frames interleaved.
    Plus differential coverage of the flat tables backing the hot path. *)
 
 open Sb_packet
@@ -175,9 +177,11 @@ let build_chain spec =
   | Error msg -> Alcotest.fail msg
 
 (* Runs [trace] through a freshly built chain (and, when given, a freshly
-   armed injector — runs must not share mutable state) and returns the
-   per-packet observations plus everything aggregate. *)
-let observe_run ?arm_injector ~chain_spec ~burst trace =
+   armed injector — runs must not share mutable state) under the given
+   runtime settings, and returns the per-packet observations plus
+   everything aggregate. *)
+let observe_run ?arm_injector ?max_rules ?idle_timeout_cycles ?verify_checksums ~chain_spec
+    ~burst trace =
   let chain = build_chain chain_spec in
   let injector =
     Option.map
@@ -187,7 +191,11 @@ let observe_run ?arm_injector ~chain_spec ~burst trace =
         inj)
       arm_injector
   in
-  let rt = Speedybox.Runtime.create (Speedybox.Runtime.config ?injector ()) chain in
+  let rt =
+    Speedybox.Runtime.create
+      (Speedybox.Runtime.config ?injector ?max_rules ?idle_timeout_cycles ?verify_checksums ())
+      chain
+  in
   let obs = ref [] in
   let result =
     Speedybox.Runtime.run_trace ~burst rt trace ~on_output:(fun _original out ->
@@ -296,17 +304,26 @@ let random_trace seed =
          tokens = [ "attack" ];
        })
 
-let differential ?arm_injector ~chain_spec ~label trace =
-  let reference = observe_run ?arm_injector ~chain_spec ~burst:1 trace in
+(* Checks bursts 2, 8 and 32 against per-packet processing and returns
+   the per-packet reference run, for the caller to confirm the case really
+   exercised what it is named after. *)
+let differential ?arm_injector ?max_rules ?idle_timeout_cycles ?verify_checksums ~chain_spec
+    ~label trace =
+  let run burst =
+    observe_run ?arm_injector ?max_rules ?idle_timeout_cycles ?verify_checksums ~chain_spec
+      ~burst trace
+  in
+  let reference = run 1 in
   List.iter
     (fun burst ->
-      let burst_run = observe_run ?arm_injector ~chain_spec ~burst trace in
-      check_same_run (Printf.sprintf "%s, burst %d" label burst) reference burst_run)
-    [ 2; 8; 32 ]
+      check_same_run (Printf.sprintf "%s, burst %d" label burst) reference (run burst))
+    [ 2; 8; 32 ];
+  reference
 
 let test_differential_plain () =
   List.iter
-    (fun seed -> differential ~chain_spec:"mazunat,monitor" ~label:"plain" (random_trace seed))
+    (fun seed ->
+      ignore (differential ~chain_spec:"mazunat,monitor" ~label:"plain" (random_trace seed)))
     [ 7; 21; 99 ]
 
 let test_differential_events () =
@@ -314,7 +331,9 @@ let test_differential_events () =
      mid-burst; the memo must pick the rewrites up. *)
   List.iter
     (fun seed ->
-      differential ~chain_spec:"monitor,dosguard:5" ~label:"armed events" (random_trace seed))
+      ignore
+        (differential ~chain_spec:"monitor,dosguard:5" ~label:"armed events"
+           (random_trace seed)))
     [ 3; 42 ]
 
 let test_differential_faults () =
@@ -328,8 +347,9 @@ let test_differential_faults () =
   in
   List.iter
     (fun seed ->
-      differential ~arm_injector ~chain_spec:"mazunat,monitor" ~label:"injected faults"
-        (random_trace seed))
+      ignore
+        (differential ~arm_injector ~chain_spec:"mazunat,monitor" ~label:"injected faults"
+           (random_trace seed)))
     [ 5; 63 ]
 
 let test_differential_fin_midburst () =
@@ -353,6 +373,80 @@ let test_differential_fin_midburst () =
         reference
         (observe_run ~chain_spec:"mazunat,monitor" ~burst trace))
     [ 8; 32 ]
+
+(* The rule memo's invalidation paths.  LRU eviction and idle expiry
+   unbind rules mid-burst; besides burst = per-packet, those runs must
+   stay equivalent to the original chain, an oracle that shares no code
+   with the memo: a stale memoised rule would replay a flow's old rewrite
+   after its rule was evicted or expired and re-recorded. *)
+let check_equivalent_to_original ?max_rules ?idle_timeout_cycles ~chain_spec ~label trace =
+  Test_util.check_equivalent label
+    (Speedybox.Equivalence.check
+       ~config_b:(Speedybox.Runtime.config ?max_rules ?idle_timeout_cycles ())
+       ~build_chain:(fun () -> build_chain chain_spec)
+       trace)
+
+let test_differential_lru_eviction () =
+  (* Forty interleaved flows over a four-rule cap: rules are evicted while
+     later packets of the same burst still belong to live flows. *)
+  List.iter
+    (fun seed ->
+      let trace = random_trace seed in
+      let _, _, rt, _ =
+        differential ~max_rules:4 ~chain_spec:"mazunat,monitor" ~label:"lru eviction" trace
+      in
+      Alcotest.(check bool)
+        "rules were evicted" true
+        (Sb_mat.Global_mat.evictions (Speedybox.Runtime.global_mat rt) > 0);
+      check_equivalent_to_original ~max_rules:4 ~chain_spec:"mazunat,monitor"
+        ~label:"lru eviction vs original" trace)
+    [ 7; 21 ]
+
+let test_differential_idle_expiry () =
+  (* A timed trace whose gaps outrun the idle timeout: flows expire (and
+     re-record) in the middle of bursts. *)
+  List.iter
+    (fun seed ->
+      let trace =
+        Sb_trace.Workload.with_poisson_times ~seed ~rate_mpps:0.05 (random_trace seed)
+      in
+      let _, _, rt, _ =
+        differential ~idle_timeout_cycles:100_000 ~chain_spec:"mazunat,monitor"
+          ~label:"idle expiry" trace
+      in
+      Alcotest.(check bool) "flows expired" true (Speedybox.Runtime.expired_flows rt > 0);
+      check_equivalent_to_original ~idle_timeout_cycles:100_000 ~chain_spec:"mazunat,monitor"
+        ~label:"idle expiry vs original" trace)
+    [ 5; 63 ]
+
+let test_differential_malformed () =
+  (* Live flows with malformed frames of those same flows interleaved:
+     every seventh packet gets a corrupted protocol byte, every seventh
+     (offset by three) a changed TTL under a stale IPv4 checksum.  The
+     rejected frames sit between packets that ride the memo. *)
+  let corrupt i p =
+    let p = Packet.copy p in
+    let buf = p.Packet.buf and l3 = Packet.l3_offset p in
+    if i mod 7 = 0 then Bytes.set buf (l3 + 9) (Char.chr 47)
+    else if i mod 7 = 3 then
+      Bytes.set buf (l3 + 8) (Char.chr (Char.code (Bytes.get buf (l3 + 8)) lxor 0xff));
+    p
+  in
+  List.iter
+    (fun seed ->
+      let trace = List.mapi corrupt (random_trace seed) in
+      let _, res, rt, _ =
+        differential ~verify_checksums:true ~chain_spec:"mazunat,monitor" ~label:"malformed"
+          trace
+      in
+      let corrupted = List.length (List.filteri (fun i _ -> i mod 7 = 0 || i mod 7 = 3) trace) in
+      Alcotest.(check int)
+        "every malformed frame rejected" corrupted
+        (Speedybox.Runtime.rejected_malformed rt);
+      Alcotest.(check bool)
+        "live flows still take the fast path" true
+        (res.Speedybox.Runtime.fast_path > 0))
+    [ 3; 42 ]
 
 let test_process_burst_array () =
   let chain = build_chain "mazunat,monitor" in
@@ -415,6 +509,9 @@ let suite =
     Alcotest.test_case "process_burst array API" `Quick test_process_burst_array;
     Alcotest.test_case "non-TCP/UDP buckets under sentinel fid" `Quick test_non_tcp_udp_sentinel;
     Alcotest.test_case "burst < 1 rejected" `Quick test_run_trace_rejects_bad_burst;
+    Alcotest.test_case "burst = per-packet (LRU eviction)" `Quick test_differential_lru_eviction;
+    Alcotest.test_case "burst = per-packet (idle expiry)" `Quick test_differential_idle_expiry;
+    Alcotest.test_case "burst = per-packet (malformed frames)" `Quick test_differential_malformed;
   ]
   @ Test_util.qcheck_cases
       [

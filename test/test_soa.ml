@@ -1,5 +1,4 @@
-(* Differential properties for the SoA flow tables (PR 9): the batched /
-   prefetched probe paths must be bit-identical to scalar probes, and the
+(* Differential properties for the structure-of-arrays flow tables: the
    flat layouts must agree with a boxed reference model under arbitrary
    insert / remove / resize interleavings.
 
@@ -75,36 +74,6 @@ let prop_flat_table_model =
            (fun k -> Flat_table.find t k = Hashtbl.find_opt model k)
            (List.init 64 Fun.id))
 
-let prop_flat_table_batch =
-  seeded ~name:"Flat_table: find_batch bit-identical to scalar find" ~count:60
-    QCheck.Gen.(int_range 1 200) (fun (seed, n) ->
-      let st = Random.State.make [| seed; 0xba7c |] in
-      let t = Flat_table.create ~initial_size:8 () in
-      for _ = 1 to n do
-        let k = Random.State.int st 64 in
-        if Random.State.int st 4 = 0 then Flat_table.remove t k
-        else Flat_table.set t k (Random.State.int st 1_000_000)
-      done;
-      (* Batch windows deliberately misaligned with the query count: a
-         random [len] at a random offset, so cells beyond the window must
-         stay untouched. *)
-      let total = 1 + Random.State.int st 70 in
-      let keys = Array.init total (fun _ -> Random.State.int st 64) in
-      let off = Random.State.int st total in
-      let len = Random.State.int st (total - off + 1) in
-      let out = Array.make total (Some (-1)) in
-      Flat_table.find_batch t keys ~off ~len out;
-      (* Prefetch is a semantic no-op on any key, present or not. *)
-      Array.iter (fun k -> Flat_table.prefetch t k) keys;
-      let ok = ref true in
-      for k = 0 to total - 1 do
-        let expect =
-          if k < len then Flat_table.find t keys.(off + k) else Some (-1)
-        in
-        if out.(k) <> expect then ok := false
-      done;
-      !ok)
-
 (* --- Tuple_map -------------------------------------------------------- *)
 
 let prop_tuple_map_model =
@@ -146,34 +115,6 @@ let prop_tuple_map_model =
              && Tuple_map.find_opt_h t ~hash:(Five_tuple.hash k) k = expect
              && Tuple_map.mem t k = Option.is_some expect)
            pool)
-
-let prop_tuple_map_batch =
-  seeded ~name:"Tuple_map: find_batch bit-identical to scalar find_opt" ~count:60
-    QCheck.Gen.(int_range 1 200) (fun (seed, n) ->
-      let st = Random.State.make [| seed; 0x7ba7 |] in
-      let t = Tuple_map.create 4 in
-      let pool = tuple_pool st in
-      let pick () = pool.(Random.State.int st (Array.length pool)) in
-      for _ = 1 to n do
-        let k = pick () in
-        if Random.State.int st 4 = 0 then Tuple_map.remove t k
-        else Tuple_map.replace t k (Random.State.int st 1_000_000)
-      done;
-      let total = 1 + Random.State.int st 70 in
-      let keys = Array.init total (fun _ -> pick ()) in
-      let off = Random.State.int st total in
-      let len = Random.State.int st (total - off + 1) in
-      let out = Array.make total (Some (-1)) in
-      Tuple_map.find_batch t keys ~off ~len out;
-      Array.iter (fun k -> Tuple_map.prefetch t (Five_tuple.hash k)) keys;
-      let ok = ref true in
-      for k = 0 to total - 1 do
-        let expect =
-          if k < len then Tuple_map.find_opt t keys.(off + k) else Some (-1)
-        in
-        if out.(k) <> expect then ok := false
-      done;
-      !ok)
 
 (* Backward-shift deletion in a saturated cluster that wraps the table
    end: fill a minimum-size table close to its load limit, delete from the
@@ -233,7 +174,6 @@ let prop_live_table_model =
       Live_table.length t = Hashtbl.length model
       && List.for_all
            (fun fid ->
-             Live_table.prefetch t fid;
              let s = Live_table.probe t fid in
              match Hashtbl.find_opt model fid with
              | None -> s < 0
@@ -305,9 +245,7 @@ let suite =
       [
         prop_pack_roundtrip;
         prop_flat_table_model;
-        prop_flat_table_batch;
         prop_tuple_map_model;
-        prop_tuple_map_batch;
         prop_live_table_model;
         prop_lru_model;
       ]
